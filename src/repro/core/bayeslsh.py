@@ -16,6 +16,19 @@ decisions as the paper's per-pair loop (every decision depends only on the
 pair's own ``(m, n)``) while allowing the hash comparisons to be vectorised.
 The per-round survivor counts recorded in :class:`VerificationOutput.trace`
 are what Figure 4 plots.
+
+That per-round decision is written once, as :meth:`RoundState.step`, and
+every BayesLSH loop in the library runs it:
+
+* :meth:`BayesLSH.verify` (with its multi-round super-block replay) and
+  :meth:`BayesLSHLite.verify <repro.core.lite.BayesLSHLite.verify>`
+  (no concentration test);
+* the all-pairs pool workers of :mod:`repro.search.executor`, whose lost
+  blocks are re-run through the core algorithm's own ``verify``;
+* the serial serving loop behind ``QueryIndex._verify_bayes`` and the
+  serving pool workers, whose lost shards are re-run through that loop.
+
+Each caller brings only its own hash-agreement counting kernel.
 """
 
 from __future__ import annotations
@@ -30,7 +43,7 @@ from repro.core.params import BayesLSHParams
 from repro.core.posteriors import PosteriorModel
 from repro.hashing.base import HashFamily
 
-__all__ = ["BayesLSH", "VerificationOutput"]
+__all__ = ["BayesLSH", "RoundState", "VerificationOutput"]
 
 
 @dataclass
@@ -126,6 +139,88 @@ class VerificationOutput:
 
 _ACTIVE, _PRUNED, _EMITTED = 0, 1, 2
 
+
+class RoundState:
+    """Per-pair state of the round loop, and its one prune/emit step.
+
+    Holds each pair's ``status`` (active, pruned or emitted), agreement
+    count ``matches`` and ``hashes_seen``.  Callers count the agreements of
+    the pairs still active over the next hashes with their own kernel and
+    hand the counts to :meth:`step`; :meth:`estimates` finalises.
+
+    Parameters
+    ----------
+    n_pairs:
+        Number of pairs, all active at the start.
+    min_matches:
+        The pruning table (line 10 of Algorithm 1).
+    concentration:
+        The concentration cache (line 15), or ``None`` for BayesLSH-Lite,
+        which only prunes.
+    """
+
+    def __init__(
+        self,
+        n_pairs: int,
+        min_matches: MinMatchesTable,
+        concentration: ConcentrationCache | None = None,
+    ):
+        self.status = np.full(n_pairs, _ACTIVE, dtype=np.int8)
+        self.matches = np.zeros(n_pairs, dtype=np.int64)
+        self.hashes_seen = np.zeros(n_pairs, dtype=np.int64)
+        #: pairs pruned so far
+        self.n_pruned = 0
+        self._min_matches = min_matches
+        self._concentration = concentration
+
+    @property
+    def n_alive(self) -> int:
+        """Pairs not pruned so far (the trace's survivor count)."""
+        return len(self.status) - self.n_pruned
+
+    def step(self, rows: np.ndarray, counts: np.ndarray, n: int) -> np.ndarray:
+        """Add ``counts`` agreements to ``rows`` at width ``n``, then decide them.
+
+        ``rows`` are active pair indices (ascending) and ``counts`` their
+        agreements over the hashes since their last step.  Rows failing
+        ``m >= minMatches(n)`` are pruned; with a concentration cache, the
+        survivors whose posterior is concentrated are emitted.  Returns the
+        rows still active.
+        """
+        matches = self.matches
+        matches[rows] += counts
+        self.hashes_seen[rows] = n
+        keep = self._min_matches.passes_many(matches[rows], n)
+        pruned = rows[~keep]
+        self.status[pruned] = _PRUNED
+        self.n_pruned += len(pruned)
+        survivors = rows[keep]
+        if self._concentration is None or len(survivors) == 0:
+            return survivors
+        concentrated = self._concentration.is_concentrated_many(matches[survivors], n)
+        self.status[survivors[concentrated]] = _EMITTED
+        return survivors[~concentrated]
+
+    def kept(self) -> np.ndarray:
+        """Boolean mask of the pairs not pruned."""
+        return self.status != _PRUNED
+
+    def estimates(self, posterior: PosteriorModel) -> np.ndarray:
+        """MAP estimates of the pairs not pruned, in pair order.
+
+        Batched (bit-identical to the scalar ``map_estimate`` per pair);
+        pairs that never saw a hash report estimate 0.
+        """
+        kept = self.kept()
+        matches = self.matches[kept]
+        hashes = self.hashes_seen[kept]
+        if len(matches) == 0:
+            return np.zeros(0, dtype=np.float64)
+        return np.where(
+            hashes > 0, posterior.map_estimate_many(matches, hashes), 0.0
+        ).astype(np.float64, copy=False)
+
+
 #: Round index from which verify() starts gathering multi-round super-blocks.
 #: Rounds 0 and 1 prune the bulk of the candidates, so super-blocking them
 #: gathers columns most pairs never look at — measured ~1.5x slower on the
@@ -175,6 +270,10 @@ class BayesLSH:
         self._concentration = ConcentrationCache(posterior, delta=params.delta, gamma=params.gamma)
 
     @property
+    def family(self) -> HashFamily:
+        return self._family
+
+    @property
     def params(self) -> BayesLSHParams:
         return self._params
 
@@ -190,6 +289,10 @@ class BayesLSH:
     def concentration_cache(self) -> ConcentrationCache:
         return self._concentration
 
+    def round_state(self, n_pairs: int) -> RoundState:
+        """Fresh per-pair state deciding with this algorithm's tables."""
+        return RoundState(n_pairs, self._min_matches, self._concentration)
+
     def verify(self, left, right) -> VerificationOutput:
         """Verify candidate pairs given as parallel index arrays.
 
@@ -202,103 +305,83 @@ class BayesLSH:
         right = np.asarray(right, dtype=np.int64)
         if left.shape != right.shape:
             raise ValueError("left and right index arrays must have the same shape")
-        n_pairs = len(left)
         params = self._params
-
-        status = np.full(n_pairs, _ACTIVE, dtype=np.int8)
-        matches = np.zeros(n_pairs, dtype=np.int64)
-        hashes_seen = np.zeros(n_pairs, dtype=np.int64)
+        state = self.round_state(len(left))
         trace: list[tuple[int, int]] = []
         hash_comparisons = 0
 
-        if n_pairs:
-            round_index = 0
-            while round_index < params.n_rounds:
-                active = np.flatnonzero(status == _ACTIVE)
-                if len(active) == 0:
-                    break
-                n_prev = round_index * params.k
+        active = np.arange(len(left))
+        round_index = 0
+        while round_index < params.n_rounds and len(active):
+            n_prev = round_index * params.k
 
-                # Survivor-side super-block: once the cheap early rounds have
-                # pruned the bulk of the pairs, the remaining long-surviving
-                # pairs gather several rounds' worth of signature columns in
-                # one wide row gather instead of one narrow gather per round.
-                # Only rounds whose hashes are already materialised are
-                # super-blocked, so the family's lazy hash-generation pattern
-                # (and hence its RNG stream consumption) is unchanged.
-                n_rounds_block = 1
-                if round_index >= _SUPERBLOCK_START:
-                    materialised = (self._family.n_hashes - n_prev) // params.k
-                    n_rounds_block = max(
-                        1,
-                        min(
-                            _SUPERBLOCK_ROUNDS,
-                            params.n_rounds - round_index,
-                            materialised,
-                        ),
-                    )
-                n_block_end = n_prev + n_rounds_block * params.k
-                store = self._family.signatures(n_block_end)
-                round_counts = store.count_matches_rounds(
-                    left[active], right[active], n_prev, n_block_end, params.k
+            # Survivor-side super-block: once the cheap early rounds have
+            # pruned the bulk of the pairs, the remaining long-surviving
+            # pairs gather several rounds' worth of signature columns in
+            # one wide row gather instead of one narrow gather per round.
+            # Only rounds whose hashes are already materialised are
+            # super-blocked, so the family's lazy hash-generation pattern
+            # (and hence its RNG stream consumption) is unchanged.
+            n_rounds_block = 1
+            if round_index >= _SUPERBLOCK_START:
+                materialised = (self._family.n_hashes - n_prev) // params.k
+                n_rounds_block = max(
+                    1,
+                    min(
+                        _SUPERBLOCK_ROUNDS,
+                        params.n_rounds - round_index,
+                        materialised,
+                    ),
                 )
+            n_block_end = n_prev + n_rounds_block * params.k
+            store = self._family.signatures(n_block_end)
+            round_counts = store.count_matches_rounds(
+                left[active], right[active], n_prev, n_block_end, params.k
+            )
 
-                # Replay the rounds over the cached counts.  Decisions are
-                # identical to the one-round-at-a-time loop: each pair's
-                # (m, n) evolves exactly as before, and pairs decided inside
-                # the super-block simply ignore their remaining cached
-                # columns.  Counters track the live set, not the gathers.
-                local_active = np.arange(len(active))
-                for s in range(n_rounds_block):
-                    n_now = n_prev + (s + 1) * params.k
-                    rows = active[local_active]
-                    matches[rows] += round_counts[local_active, s]
-                    hashes_seen[rows] = n_now
-                    hash_comparisons += len(rows) * params.k
+            # Replay the rounds over the cached counts.  Decisions are
+            # identical to the one-round-at-a-time loop: each pair's
+            # (m, n) evolves exactly as before, and pairs decided inside
+            # the super-block simply ignore their remaining cached
+            # columns.  Counters track the live set, not the gathers.
+            rows = active
+            positions = slice(None)  # rows of round_counts still active
+            for s in range(n_rounds_block):
+                n_now = n_prev + (s + 1) * params.k
+                hash_comparisons += len(rows) * params.k
+                rows = state.step(rows, round_counts[positions, s], n_now)
+                trace.append((n_now, state.n_alive))
+                if len(rows) == 0:
+                    break
+                if s + 1 < n_rounds_block:
+                    positions = np.searchsorted(active, rows)
+            active = rows
+            round_index += s + 1
 
-                    # Pruning test (line 10): m < minMatches(n).
-                    keep_mask = self._min_matches.passes_many(matches[rows], n_now)
-                    status[rows[~keep_mask]] = _PRUNED
+        return self.finish(state, left, right, trace, hash_comparisons)
 
-                    # Concentration test (line 15) for the pairs that
-                    # survived pruning.
-                    survivors = rows[keep_mask]
-                    if len(survivors):
-                        concentrated = self._concentration.is_concentrated_many(
-                            matches[survivors], n_now
-                        )
-                        status[survivors[concentrated]] = _EMITTED
-                        local_active = local_active[keep_mask][~concentrated]
-                    else:
-                        local_active = local_active[keep_mask]
+    def finish(
+        self,
+        state: RoundState,
+        left: np.ndarray,
+        right: np.ndarray,
+        trace: list | None = None,
+        hash_comparisons: int = 0,
+    ) -> VerificationOutput:
+        """The output for ``state``'s pairs: every pair not pruned, with its
+        MAP estimate.
 
-                    n_alive = int(np.sum(status != _PRUNED))
-                    trace.append((n_now, n_alive))
-                    if len(local_active) == 0:
-                        break
-                round_index += s + 1
-
-        output_mask = status != _PRUNED
-        output_left = left[output_mask]
-        output_right = right[output_mask]
-        output_matches = matches[output_mask]
-        output_hashes = hashes_seen[output_mask]
-        if len(output_matches):
-            # Batched MAP estimates (bit-identical to the scalar map_estimate
-            # per pair); pairs that never saw a hash report estimate 0.
-            estimates = np.where(
-                output_hashes > 0,
-                self._posterior.map_estimate_many(output_matches, output_hashes),
-                0.0,
-            ).astype(np.float64, copy=False)
-        else:
-            estimates = np.zeros(0, dtype=np.float64)
+        ``trace`` and ``hash_comparisons`` are the caller's loop counters;
+        a pool worker finishing one shard leaves them empty and the parent
+        fills them in for the merged block.
+        """
+        kept = state.kept()
         return VerificationOutput(
-            left=output_left,
-            right=output_right,
-            estimates=estimates,
-            n_candidates=n_pairs,
-            n_pruned=int(np.sum(status == _PRUNED)),
-            trace=trace,
+            left=left[kept],
+            right=right[kept],
+            estimates=state.estimates(self._posterior),
+            n_candidates=len(left),
+            n_pruned=state.n_pruned,
+            trace=[] if trace is None else trace,
             hash_comparisons=hash_comparisons,
         )

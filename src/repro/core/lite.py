@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.core.bayeslsh import VerificationOutput, _ACTIVE, _PRUNED
+from repro.core.bayeslsh import RoundState, VerificationOutput
 from repro.core.min_matches import MinMatchesTable
 from repro.core.params import BayesLSHLiteParams
 from repro.core.posteriors import PosteriorModel
@@ -69,12 +69,24 @@ class BayesLSHLite:
         )
 
     @property
+    def family(self) -> HashFamily:
+        return self._family
+
+    @property
     def params(self) -> BayesLSHLiteParams:
         return self._params
 
     @property
+    def posterior(self) -> PosteriorModel:
+        return self._posterior
+
+    @property
     def min_matches_table(self) -> MinMatchesTable:
         return self._min_matches
+
+    def round_state(self, n_pairs: int) -> RoundState:
+        """Fresh per-pair state that prunes with this algorithm's table."""
+        return RoundState(n_pairs, self._min_matches)
 
     def verify(self, left, right) -> VerificationOutput:
         """Verify candidate pairs given as parallel index arrays.
@@ -87,35 +99,39 @@ class BayesLSHLite:
         right = np.asarray(right, dtype=np.int64)
         if left.shape != right.shape:
             raise ValueError("left and right index arrays must have the same shape")
-        n_pairs = len(left)
         params = self._params
-
-        status = np.full(n_pairs, _ACTIVE, dtype=np.int8)
-        matches = np.zeros(n_pairs, dtype=np.int64)
+        state = self.round_state(len(left))
         trace: list[tuple[int, int]] = []
         hash_comparisons = 0
 
-        if n_pairs:
-            for round_index in range(params.n_rounds):
-                active = np.flatnonzero(status == _ACTIVE)
-                if len(active) == 0:
-                    break
-                n_prev = round_index * params.k
-                n_now = n_prev + params.k
-                store = self._family.signatures(n_now)
-                new_matches = store.count_matches_many(
-                    left[active], right[active], n_prev, n_now
-                )
-                hash_comparisons += len(active) * params.k
-                matches[active] += new_matches
+        active = np.arange(len(left))
+        for round_index in range(params.n_rounds):
+            if len(active) == 0:
+                break
+            n_prev = round_index * params.k
+            n_now = n_prev + params.k
+            store = self._family.signatures(n_now)
+            counts = store.count_matches_many(left[active], right[active], n_prev, n_now)
+            hash_comparisons += len(active) * params.k
+            active = state.step(active, counts, n_now)
+            trace.append((n_now, state.n_alive))
 
-                keep_mask = self._min_matches.passes_many(matches[active], n_now)
-                status[active[~keep_mask]] = _PRUNED
+        return self.finish(state, left, right, trace, hash_comparisons)
 
-                n_alive = int(np.sum(status != _PRUNED))
-                trace.append((n_now, n_alive))
+    def finish(
+        self,
+        state: RoundState,
+        left: np.ndarray,
+        right: np.ndarray,
+        trace: list | None = None,
+        hash_comparisons: int = 0,
+    ) -> VerificationOutput:
+        """Exact-verify ``state``'s pairs not pruned; output those above the threshold.
 
-        survivors = np.flatnonzero(status != _PRUNED)
+        ``trace`` and ``hash_comparisons`` are the caller's loop counters, as
+        for :meth:`BayesLSH.finish <repro.core.bayeslsh.BayesLSH.finish>`.
+        """
+        survivors = np.flatnonzero(state.kept())
         if self._exact_similarity_many is not None:
             exact_values = np.asarray(
                 self._exact_similarity_many(left[survivors], right[survivors]),
@@ -126,14 +142,14 @@ class BayesLSHLite:
                 [self._exact_similarity(int(left[idx]), int(right[idx])) for idx in survivors],
                 dtype=np.float64,
             )
-        above = exact_values > params.threshold
+        above = exact_values > self._params.threshold
         return VerificationOutput(
             left=left[survivors][above],
             right=right[survivors][above],
             estimates=exact_values[above],
-            n_candidates=n_pairs,
-            n_pruned=int(np.sum(status == _PRUNED)),
-            trace=trace,
+            n_candidates=len(left),
+            n_pruned=state.n_pruned,
+            trace=[] if trace is None else trace,
             hash_comparisons=hash_comparisons,
             exact_computations=len(survivors),
         )

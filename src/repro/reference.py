@@ -1,7 +1,8 @@
 """Scalar reference implementations of the vectorised hot paths.
 
 Every batched kernel in the library (signature generation, the posterior
-``*_many`` queries, the array-based candidate generators) is required to be
+``*_many`` queries, the round-synchronous verification loops, the
+array-based candidate generators) is required to be
 **bit-identical** to a straightforward scalar formulation — same seeds give
 same signatures, same prune/emit decisions, same candidate pairs and the
 same bookkeeping counters.  This module holds those scalar formulations:
@@ -20,6 +21,10 @@ from collections import defaultdict
 
 import numpy as np
 
+from repro.core.bayeslsh import VerificationOutput
+from repro.core.concentration_cache import ConcentrationCache
+from repro.core.min_matches import MinMatchesTable
+from repro.core.params import BayesLSHLiteParams, BayesLSHParams
 from repro.core.posteriors import PosteriorModel
 from repro.hashing.minhash import _PRIME, MinHashFamily
 from repro.hashing.signatures import SignatureStore
@@ -33,6 +38,8 @@ __all__ = [
     "concentration_decisions_reference",
     "map_estimates_reference",
     "prob_above_threshold_reference",
+    "bayeslsh_verify_reference",
+    "lite_verify_reference",
     "lsh_candidates_reference",
     "allpairs_candidates_reference",
     "ppjoin_candidates_reference",
@@ -103,6 +110,131 @@ def prob_above_threshold_reference(
     return np.array(
         [posterior.prob_above_threshold(int(m), int(n), threshold) for m in np.asarray(matches)],
         dtype=np.float64,
+    )
+
+
+# --------------------------------------------------------------------- #
+# verification loops (Algorithms 1 and 2)
+# --------------------------------------------------------------------- #
+def _prune_loop_reference(
+    hashes: np.ndarray, left, right, k: int, n_rounds: int, min_matches, concentration
+):
+    """Algorithm 1's per-pair loop, one pair at a time.
+
+    ``hashes`` is a dense ``(n_vectors, n_hashes)`` matrix of per-hash
+    values; a pair's matches over a round are its equal entries.  Returns
+    per-pair ``(pruned, matches, hashes seen, rounds examined, prune
+    round)`` lists, with prune round ``None`` for pairs never pruned.
+    """
+    outcomes = []
+    for i, j in zip(np.asarray(left).tolist(), np.asarray(right).tolist()):
+        m = n = rounds = 0
+        pruned_at = None
+        for round_index in range(n_rounds):
+            lo, n = n, n + k
+            m += int(np.count_nonzero(hashes[i, lo:n] == hashes[j, lo:n]))
+            rounds += 1
+            if not min_matches.passes(m, n):
+                pruned_at = round_index
+                break
+            if concentration is not None and concentration.is_concentrated(m, n):
+                break
+        outcomes.append((pruned_at is not None, m, n, rounds, pruned_at))
+    return outcomes
+
+
+def _round_trace_reference(outcomes, k: int) -> list[tuple[int, int]]:
+    """The round-synchronous ``(hashes, not yet pruned)`` trace of per-pair outcomes.
+
+    A round-synchronous run executes round ``r`` while any pair is still
+    active at its start, i.e. while some pair examined more than ``r``
+    rounds.
+    """
+    n_rounds = max((rounds for *_, rounds, _ in outcomes), default=0)
+    return [
+        (
+            (r + 1) * k,
+            sum(1 for *_, pruned_at in outcomes if pruned_at is None or pruned_at > r),
+        )
+        for r in range(n_rounds)
+    ]
+
+
+def bayeslsh_verify_reference(
+    hashes: np.ndarray, posterior: PosteriorModel, params: BayesLSHParams, left, right
+) -> VerificationOutput:
+    """Pair-at-a-time BayesLSH (Algorithm 1) with the scalar decision tables.
+
+    Prunes with :meth:`MinMatchesTable.passes`, emits with
+    :meth:`ConcentrationCache.is_concentrated` and reports
+    :meth:`PosteriorModel.map_estimate` for every pair not pruned.
+    """
+    min_matches = MinMatchesTable(
+        posterior, params.threshold, params.epsilon, params.k, params.max_hashes
+    )
+    concentration = ConcentrationCache(posterior, params.delta, params.gamma)
+    outcomes = _prune_loop_reference(
+        hashes, left, right, params.k, params.n_rounds, min_matches, concentration
+    )
+    kept = [index for index, outcome in enumerate(outcomes) if not outcome[0]]
+    return VerificationOutput(
+        left=np.asarray(left, dtype=np.int64)[kept],
+        right=np.asarray(right, dtype=np.int64)[kept],
+        estimates=np.array(
+            [
+                posterior.map_estimate(outcomes[index][1], outcomes[index][2])
+                if outcomes[index][2]
+                else 0.0
+                for index in kept
+            ],
+            dtype=np.float64,
+        ),
+        n_candidates=len(outcomes),
+        n_pruned=len(outcomes) - len(kept),
+        trace=_round_trace_reference(outcomes, params.k),
+        hash_comparisons=sum(rounds for *_, rounds, _ in outcomes) * params.k,
+    )
+
+
+def lite_verify_reference(
+    hashes: np.ndarray,
+    posterior: PosteriorModel,
+    params: BayesLSHLiteParams,
+    exact_similarity,
+    left,
+    right,
+) -> VerificationOutput:
+    """Pair-at-a-time BayesLSH-Lite (Algorithm 2) with the scalar pruning table.
+
+    Pairs surviving ``h`` hashes of :meth:`MinMatchesTable.passes` pruning
+    are output when ``exact_similarity(i, j)`` exceeds the threshold.
+    """
+    min_matches = MinMatchesTable(
+        posterior, params.threshold, params.epsilon, params.k, params.h
+    )
+    outcomes = _prune_loop_reference(
+        hashes, left, right, params.k, params.n_rounds, min_matches, None
+    )
+    out_left, out_right, values = [], [], []
+    n_exact = 0
+    for i, j, outcome in zip(np.asarray(left).tolist(), np.asarray(right).tolist(), outcomes):
+        if outcome[0]:
+            continue
+        n_exact += 1
+        value = exact_similarity(i, j)
+        if value > params.threshold:
+            out_left.append(i)
+            out_right.append(j)
+            values.append(value)
+    return VerificationOutput(
+        left=np.array(out_left, dtype=np.int64),
+        right=np.array(out_right, dtype=np.int64),
+        estimates=np.array(values, dtype=np.float64),
+        n_candidates=len(outcomes),
+        n_pruned=len(outcomes) - n_exact,
+        trace=_round_trace_reference(outcomes, params.k),
+        hash_comparisons=sum(rounds for *_, rounds, _ in outcomes) * params.k,
+        exact_computations=n_exact,
     )
 
 

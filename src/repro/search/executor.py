@@ -57,12 +57,21 @@ every gather polls worker liveness (a SIGKILLed or crashed worker surfaces
 through its exit code) and, when a ``round_timeout`` is configured, applies
 a per-gather deadline after which a live-but-silent worker is declared hung
 and SIGKILLed.  Either way the failed worker is retired — it receives no
-further work — and its shard is **re-executed serially in the parent** with
-the same kernels: the parent is the sole RNG/extension authority and every
-per-pair decision depends only on that pair's own counts, so results after
-any single- or multi-worker loss are bit-identical to the all-serial run
-(enforced by ``tests/faults/``).  The serving pool recovers at shard
-granularity; the all-pairs round protocol re-runs the affected block.
+further work — and its work is **re-executed serially in the parent** by the
+very code the serial path runs, so no recovery twin exists to drift:
+
+* the all-pairs round protocol re-runs the affected block through the core
+  algorithm's own ``verify(left, right)`` (discarding the survivors' partial
+  shards, whose traces would otherwise double-count);
+* the serving pool re-runs each failed shard through the serial serving
+  loop behind ``QueryIndex._verify_bayes`` (and the stores' own probe and
+  exact kernels for the other stages).
+
+Workers and both fallbacks decide with the same
+:class:`~repro.core.bayeslsh.RoundState` step, the parent is the sole
+RNG/extension authority and every per-pair decision depends only on that
+pair's own counts, so results after any single- or multi-worker loss are
+bit-identical to the all-serial run (enforced by ``tests/faults/``).
 :class:`WorkerFailure` (naming the workers, the task tag and the round) is
 raised only when no fallback exists for the failing operation.  Shutdown is
 unconditional: every call site tears the pool down under ``try``/``finally``
@@ -84,7 +93,7 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.core.bayeslsh import VerificationOutput
+from repro.core.bayeslsh import RoundState, VerificationOutput
 from repro.hashing.signatures import BitSignatures, _tile_rows, count_packed_matches
 from repro.testing import faults as _faults
 
@@ -198,79 +207,6 @@ class PairBlockSource:
 # --------------------------------------------------------------------- #
 # shared-memory signature export
 # --------------------------------------------------------------------- #
-class _SegmentTable:
-    """Worker-side registry of shared-memory signature segments.
-
-    Counts hash agreements straight from the shared buffers with the same
-    integer kernels the in-process stores use (`count_packed_matches` for
-    packed bits, gather + ``np.equal`` + row sum for integer signatures), so
-    worker counts are bit-identical to store counts.
-    """
-
-    def __init__(self):
-        self._segments: list[dict] = []
-        self._handles: list = []  # keep SharedMemory objects alive
-
-    def attach(self, descriptor: dict) -> None:
-        from multiprocessing import shared_memory
-
-        # The worker is forked, so it shares the parent's resource-tracker
-        # process: attaching re-registers the same name (a set, no-op) and
-        # the parent's unlink() deregisters it exactly once.
-        shm = shared_memory.SharedMemory(name=descriptor["name"])
-        array = np.ndarray(
-            tuple(descriptor["shape"]), dtype=np.dtype(descriptor["dtype"]), buffer=shm.buf
-        )
-        self._handles.append(shm)
-        self._segments.append(
-            {
-                "hash_start": descriptor["hash_start"],
-                "hash_end": descriptor["hash_end"],
-                "bits": descriptor["bits"],
-                "array": array,
-            }
-        )
-
-    def count_matches_many(
-        self, left: np.ndarray, right: np.ndarray, start: int, end: int
-    ) -> np.ndarray:
-        counts = np.zeros(len(left), dtype=np.int64)
-        if end <= start:
-            return counts
-        covered = start
-        for segment in self._segments:
-            lo = max(covered, segment["hash_start"])
-            hi = min(end, segment["hash_end"])
-            if hi <= lo or lo != covered:
-                continue
-            array = segment["array"]
-            if segment["bits"]:
-                word_base = segment["hash_start"] // _WORD_BITS
-                word_lo = lo // _WORD_BITS - word_base
-                word_hi = -(-hi // _WORD_BITS) - word_base
-                words = np.ascontiguousarray(array[:, word_lo:word_hi])
-                counts += count_packed_matches(
-                    words[left],
-                    words[right],
-                    lo - (word_lo + word_base) * _WORD_BITS,
-                    hi - lo,
-                )
-            else:
-                columns = np.ascontiguousarray(
-                    array[:, lo - segment["hash_start"] : hi - segment["hash_start"]]
-                )
-                equal = np.equal(columns[left], columns[right])
-                counts += equal.sum(axis=1, dtype=np.int64)
-            covered = hi
-            if covered >= end:
-                break
-        if covered < end:
-            raise RuntimeError(
-                f"shared segments cover hashes up to {covered}, needed {end}"
-            )
-        return counts
-
-
 class _SignatureExporter:
     """Parent-side publication of signature columns into shared memory.
 
@@ -394,25 +330,21 @@ class PoolDegradedWarning(UserWarning):
 # --------------------------------------------------------------------- #
 # worker process
 # --------------------------------------------------------------------- #
-_ACTIVE, _PRUNED, _EMITTED = 0, 1, 2
-
-
 def _worker_main(worker_id: int, verifier, task_queue, result_queue) -> None:
     """Worker loop: verifies pair shards round-synchronously.
 
     The process is forked, so ``verifier`` (with its prepared collection,
     measure and parameters) is inherited by reference; only small control
-    messages and shard index arrays travel through the queues.  Decision
-    tables are rebuilt locally from the broadcast posterior/params — they are
-    deterministic functions of those inputs, so every worker's tables agree
-    with the parent's.
+    messages and shard index arrays travel through the queues.  The
+    ``"setup"`` broadcast carries the posterior, and the worker builds the
+    core algorithm from it exactly as the verifier does — its decision
+    tables are deterministic functions of the posterior and parameters, so
+    every worker's tables agree with the parent's.  Hash columns arrive as
+    keyless shared-memory publications, which the parent starts at hash 0,
+    so the worker's column source needs no inherited pieces.
     """
-    segments = _SegmentTable()
-    mode = None
-    posterior = None
-    params = None
-    min_matches = None
-    concentration = None
+    source = _ColumnSource()
+    algorithm = None
     shard: dict | None = None
     while True:
         message = task_queue.get()
@@ -424,88 +356,33 @@ def _worker_main(worker_id: int, verifier, task_queue, result_queue) -> None:
             continue
         try:
             if tag == "segment":
-                segments.attach(message[1])
+                source.attach(message[1])
                 continue  # broadcast; no reply
             if tag == "setup":
-                mode, blob = message[1], message[2]
-                posterior, params = pickle.loads(blob)
-                from repro.core.concentration_cache import ConcentrationCache
-                from repro.core.min_matches import MinMatchesTable
-
-                max_hashes = params.max_hashes if mode == "bayes" else params.h
-                min_matches = MinMatchesTable(
-                    posterior,
-                    threshold=params.threshold,
-                    epsilon=params.epsilon,
-                    k=params.k,
-                    max_hashes=max_hashes,
-                )
-                concentration = (
-                    ConcentrationCache(posterior, delta=params.delta, gamma=params.gamma)
-                    if mode == "bayes"
-                    else None
-                )
+                algorithm = verifier._algorithm(pickle.loads(message[1]))
                 continue  # broadcast; no reply
             if tag == "begin":
                 left, right = message[1], message[2]
                 shard = {
                     "left": left,
                     "right": right,
-                    "status": np.full(len(left), _ACTIVE, dtype=np.int8),
-                    "matches": np.zeros(len(left), dtype=np.int64),
-                    "hashes_seen": np.zeros(len(left), dtype=np.int64),
+                    "state": algorithm.round_state(len(left)),
+                    "active": np.arange(len(left)),
                 }
                 result_queue.put(("ok", worker_id, len(left)))
             elif tag == "round":
                 n_prev, n_now = message[1], message[2]
-                status = shard["status"]
-                matches = shard["matches"]
-                active = np.flatnonzero(status == _ACTIVE)
-                if len(active):
-                    new_matches = segments.count_matches_many(
-                        shard["left"][active], shard["right"][active], n_prev, n_now
+                rows = shard["active"]
+                if len(rows):
+                    counts = _cross_window_counts(
+                        source, source, shard["left"][rows], shard["right"][rows], n_prev, n_now
                     )
-                    matches[active] += new_matches
-                    shard["hashes_seen"][active] = n_now
-                    keep_mask = min_matches.passes_many(matches[active], n_now)
-                    status[active[~keep_mask]] = _PRUNED
-                    survivors = active[keep_mask]
-                    if concentration is not None and len(survivors):
-                        concentrated = concentration.is_concentrated_many(
-                            matches[survivors], n_now
-                        )
-                        status[survivors[concentrated]] = _EMITTED
-                n_alive = int(np.sum(status != _PRUNED))
-                n_active = int(np.sum(status == _ACTIVE))
-                result_queue.put(("ok", worker_id, (len(active), n_alive, n_active)))
+                    shard["active"] = shard["state"].step(rows, counts, n_now)
+                reply = (len(rows), shard["state"].n_alive, len(shard["active"]))
+                result_queue.put(("ok", worker_id, reply))
             elif tag == "finish":
-                status = shard["status"]
-                if mode == "bayes":
-                    mask = status != _PRUNED
-                    out_matches = shard["matches"][mask]
-                    out_hashes = shard["hashes_seen"][mask]
-                    if len(out_matches):
-                        estimates = np.where(
-                            out_hashes > 0,
-                            posterior.map_estimate_many(out_matches, out_hashes),
-                            0.0,
-                        ).astype(np.float64, copy=False)
-                    else:
-                        estimates = np.zeros(0, dtype=np.float64)
-                    result_queue.put(("ok", worker_id, (mask, estimates)))
-                else:  # lite: exact-verify the survivors
-                    mask = status != _PRUNED
-                    survivors = np.flatnonzero(mask)
-                    exact_values = np.array(
-                        [
-                            verifier.exact_similarity(
-                                int(shard["left"][idx]), int(shard["right"][idx])
-                            )
-                            for idx in survivors
-                        ],
-                        dtype=np.float64,
-                    )
-                    result_queue.put(("ok", worker_id, (mask, exact_values)))
+                output = algorithm.finish(shard["state"], shard["left"], shard["right"])
+                result_queue.put(("ok", worker_id, output))
                 shard = None
             elif tag == "exact":
                 from repro.verification.base import exact_similarities_for_pairs
@@ -517,7 +394,7 @@ def _worker_main(worker_id: int, verifier, task_queue, result_queue) -> None:
                 result_queue.put(("ok", worker_id, values))
             elif tag == "count":
                 left, right, start, end = message[1], message[2], message[3], message[4]
-                values = segments.count_matches_many(left, right, start, end)
+                values = _cross_window_counts(source, source, left, right, start, end)
                 result_queue.put(("ok", worker_id, values))
             else:
                 result_queue.put(("error", worker_id, f"unknown task {tag!r}"))
@@ -824,8 +701,9 @@ class _WorkerPool:
         """Gather one reply per listed worker id (:class:`WorkerFailure` on loss)."""
         return self._collect(worker_ids, tag=tag, round_index=round_index)
 
-    def setup(self, mode: str, posterior, params) -> None:
-        self._broadcast(("setup", mode, pickle.dumps((posterior, params))))
+    def setup(self, posterior) -> None:
+        """Broadcast the posterior the workers build their core algorithm from."""
+        self._broadcast(("setup", pickle.dumps(posterior)))
 
     # --------------------------- block protocol -------------------------- #
     def begin_block(self, left: np.ndarray, right: np.ndarray) -> None:
@@ -846,7 +724,7 @@ class _WorkerPool:
         return processed, alive, active
 
     def finish_block(self) -> list:
-        """Collect per-shard results in shard order."""
+        """Collect the per-shard outputs in shard order."""
         self.send(self._shard_workers, ("finish",))
         replies = self._collect(self._shard_workers, tag="finish")
         return [replies[wid] for wid in self._shard_workers]
@@ -949,231 +827,77 @@ class _WorkerPool:
 # --------------------------------------------------------------------- #
 # round-synchronous block verification (shared by BayesLSH / Lite)
 # --------------------------------------------------------------------- #
-def _block_output(
-    left: np.ndarray,
-    right: np.ndarray,
-    mask: np.ndarray,
-    values: np.ndarray,
-    trace: list,
-    hash_comparisons: int,
-    mode: str,
-    threshold: float,
-) -> VerificationOutput:
-    """Assemble one block's :class:`VerificationOutput` from survivor data.
-
-    Shared by the pooled path and the serial-fallback path so both produce
-    byte-identical outputs from identical ``(mask, values)`` inputs.
-    """
-    n_pruned = int(len(left) - mask.sum())
-    if mode == "bayes":
-        return VerificationOutput(
-            left=left[mask],
-            right=right[mask],
-            estimates=values,
-            n_candidates=len(left),
-            n_pruned=n_pruned,
-            trace=trace,
-            hash_comparisons=hash_comparisons,
-        )
-    # lite: threshold the exact survivor similarities
-    survivors_left = left[mask]
-    survivors_right = right[mask]
-    above = values > threshold
-    return VerificationOutput(
-        left=survivors_left[above],
-        right=survivors_right[above],
-        estimates=values[above],
-        n_candidates=len(left),
-        n_pruned=n_pruned,
-        trace=trace,
-        hash_comparisons=hash_comparisons,
-        exact_computations=int(mask.sum()),
-    )
-
-
-def _serial_block_verify(
-    family,
-    params,
-    mode: str,
-    posterior,
-    verifier,
-    left: np.ndarray,
-    right: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, list, int]:
-    """Verify one pair block in the parent with the serial kernels.
-
-    The recovery path behind :func:`run_round_protocol`: when workers are
-    lost mid-block, the whole block re-executes here.  Bit-identity to the
-    all-serial run holds because (a) every per-pair decision depends only on
-    that pair's own ``(matches, hashes_seen)`` counts, so re-deriving them
-    from round zero reproduces the serial decisions exactly, and (b) the
-    parent is the sole hash/RNG authority — ``family.signatures(n)`` only
-    appends columns beyond what the aborted pooled attempt already
-    materialised, never redraws, so store contents match the serial run's.
-
-    Returns ``(survivor mask, survivor values, trace, hash comparisons)``
-    in the exact shapes the pooled merge produces.
-    """
-    from repro.core.concentration_cache import ConcentrationCache
-    from repro.core.min_matches import MinMatchesTable
-
-    max_hashes = params.max_hashes if mode == "bayes" else params.h
-    min_matches = MinMatchesTable(
-        posterior,
-        threshold=params.threshold,
-        epsilon=params.epsilon,
-        k=params.k,
-        max_hashes=max_hashes,
-    )
-    concentration = (
-        ConcentrationCache(posterior, delta=params.delta, gamma=params.gamma)
-        if mode == "bayes"
-        else None
-    )
-    status = np.full(len(left), _ACTIVE, dtype=np.int8)
-    matches = np.zeros(len(left), dtype=np.int64)
-    hashes_seen = np.zeros(len(left), dtype=np.int64)
-    trace: list[tuple[int, int]] = []
-    hash_comparisons = 0
-    n_active = len(left)
-    for round_index in range(params.n_rounds if len(left) else 0):
-        if n_active == 0:
-            break
-        n_prev = round_index * params.k
-        n_now = n_prev + params.k
-        store = family.signatures(n_now)
-        active = np.flatnonzero(status == _ACTIVE)
-        if len(active):
-            matches[active] += store.count_matches_many(
-                left[active], right[active], n_prev, n_now
-            )
-            hashes_seen[active] = n_now
-            keep_mask = min_matches.passes_many(matches[active], n_now)
-            status[active[~keep_mask]] = _PRUNED
-            survivors = active[keep_mask]
-            if concentration is not None and len(survivors):
-                concentrated = concentration.is_concentrated_many(
-                    matches[survivors], n_now
-                )
-                status[survivors[concentrated]] = _EMITTED
-        hash_comparisons += len(active) * params.k
-        trace.append((n_now, int(np.sum(status != _PRUNED))))
-        n_active = int(np.sum(status == _ACTIVE))
-    mask = status != _PRUNED
-    if mode == "bayes":
-        out_matches = matches[mask]
-        out_hashes = hashes_seen[mask]
-        if len(out_matches):
-            values = np.where(
-                out_hashes > 0,
-                posterior.map_estimate_many(out_matches, out_hashes),
-                0.0,
-            ).astype(np.float64, copy=False)
-        else:
-            values = np.zeros(0, dtype=np.float64)
-    else:  # lite: exact-verify the survivors
-        if verifier is None:
-            raise RuntimeError(
-                "serial fallback for 'lite' mode needs the verifier for exact "
-                "similarities; pass verifier= to run_round_protocol"
-            )
-        survivors = np.flatnonzero(mask)
-        values = np.array(
-            [
-                verifier.exact_similarity(int(left[idx]), int(right[idx]))
-                for idx in survivors
-            ],
-            dtype=np.float64,
-        )
-    return mask, values, trace, hash_comparisons
-
-
 def _pooled_block(
     pool: _WorkerPool,
     exporter: _SignatureExporter,
-    family,
-    params,
-    mode: str,
-    threshold: float,
+    algorithm,
     left: np.ndarray,
     right: np.ndarray,
 ) -> VerificationOutput:
-    """Run one pair block through the worker pool (raises WorkerFailure on loss)."""
+    """Run one pair block through the worker pool (raises WorkerFailure on loss).
+
+    Workers finish their shards with the core algorithm's own ``finish``;
+    the parent merges the shard outputs in shard order and fills in the
+    block's round trace and hash-comparison count.
+    """
+    params = algorithm.params
     _faults.fire("allpairs_begin", pool=pool)
     pool.begin_block(left, right)
     trace: list[tuple[int, int]] = []
     hash_comparisons = 0
     n_active = len(left)
-    for round_index in range(params.n_rounds if len(left) else 0):
+    for round_index in range(params.n_rounds):
         if n_active == 0:
             break
         n_prev = round_index * params.k
         n_now = n_prev + params.k
-        store = family.signatures(n_now)
+        store = algorithm.family.signatures(n_now)
         exporter.ensure(store, n_now)
         _faults.fire("allpairs_round", pool=pool, round_index=round_index)
         processed, alive, n_active = pool.round(n_prev, n_now)
         hash_comparisons += processed * params.k
         trace.append((n_now, alive))
-    shard_results = pool.finish_block()
-    masks = [mask for mask, _ in shard_results]
-    mask = np.concatenate(masks) if masks else np.zeros(0, dtype=bool)
-    values = (
-        np.concatenate([vals for _, vals in shard_results])
-        if shard_results
-        else np.zeros(0, dtype=np.float64)
-    )
-    return _block_output(left, right, mask, values, trace, hash_comparisons, mode, threshold)
+    output = VerificationOutput.merge(pool.finish_block())
+    output.trace = trace
+    output.hash_comparisons = hash_comparisons
+    return output
 
 
-def run_round_protocol(
-    pool: _WorkerPool,
-    family,
-    params,
-    mode: str,
-    posterior,
-    source: PairBlockSource,
-    threshold: float,
-    verifier=None,
-) -> VerificationOutput:
+def run_round_protocol(pool: _WorkerPool, algorithm, source: PairBlockSource) -> VerificationOutput:
     """Drive the workers through the round-synchronous verification of
-    every block of ``source``.
+    every block of ``source`` with ``algorithm`` (a core
+    :class:`~repro.core.bayeslsh.BayesLSH` or
+    :class:`~repro.core.lite.BayesLSHLite`).
 
-    The parent owns hash generation: each round it lazily extends ``family``
-    (identical RNG stream consumption to the serial path) and publishes the
-    fresh columns to shared memory before broadcasting the round.
+    The parent owns hash generation: each round it lazily extends the
+    algorithm's family (identical RNG stream consumption to the serial
+    path) and publishes the fresh columns to shared memory before
+    broadcasting the round.
 
     Fault tolerance: a block that loses workers (death, hang past the pool's
-    ``round_timeout``, in-task error) is re-executed whole in the parent via
-    :func:`_serial_block_verify` — partial shard results from the survivors
-    are discarded, so the block's output (including trace and counter
-    bookkeeping) is bit-identical to the all-serial run.  Retired workers
-    stay excluded from later blocks; once every worker is gone all remaining
-    blocks run serially without touching the queues.  ``verifier`` supplies
-    the exact-similarity kernel the ``"lite"`` fallback needs.
+    ``round_timeout``, in-task error) is re-run whole in the parent through
+    ``algorithm.verify`` — the very call the serial path makes — so the
+    block's output (including trace and counter bookkeeping) is
+    bit-identical to the all-serial run.  Partial shard results from the
+    survivors are discarded.  Retired workers stay excluded from later
+    blocks; once every worker is gone all remaining blocks run serially
+    without touching the queues.
     """
-    pool.setup(mode, posterior, params)
-    exporter = _SignatureExporter(pool, family.produces_bits)
+    pool.setup(algorithm.posterior)
+    exporter = _SignatureExporter(pool, algorithm.family.produces_bits)
     outputs: list[VerificationOutput] = []
     for block_index, (left, right) in enumerate(source.blocks()):
         try:
             if not pool.live_workers:
                 raise WorkerFailure(dict(pool._dead), {}, "begin")
-            outputs.append(
-                _pooled_block(pool, exporter, family, params, mode, threshold, left, right)
-            )
+            outputs.append(_pooled_block(pool, exporter, algorithm, left, right))
         except WorkerFailure as failure:
             _LOGGER.warning(
                 "pair block %d: %s; re-executing the block serially in the parent",
                 block_index,
                 failure,
             )
-            mask, values, trace, comparisons = _serial_block_verify(
-                family, params, mode, posterior, verifier, left, right
-            )
-            outputs.append(
-                _block_output(left, right, mask, values, trace, comparisons, mode, threshold)
-            )
+            outputs.append(algorithm.verify(left, right))
     return VerificationOutput.merge(outputs)
 
 
@@ -1216,9 +940,12 @@ _QUERY_KEY = "q"
 class _ColumnSource:
     """Worker-side read access to one signature store across the fork.
 
-    Columns materialised before the fork are read from the worker's inherited
-    copy of the store; columns the parent materialised *after* the fork
-    arrive as shared-memory chunks (attached on broadcast).  The inherited
+    The one column reader of both worker loops.  Columns materialised before
+    the fork are read from the worker's inherited copy of the store; columns
+    the parent materialised *after* the fork arrive as shared-memory chunks
+    (attached on broadcast).  Without a store (the all-pairs workers, whose
+    keyless stream is published from hash 0) the source starts with no
+    inherited pieces and every column arrives by publication.  The inherited
     chunks and the published ones tile the hash axis contiguously, and every
     chunk boundary is word-aligned, so any requested sub-range falls
     entirely within one piece once split at the piece boundaries.
@@ -1230,17 +957,20 @@ class _ColumnSource:
     thread exists in the child to release it).
     """
 
-    def __init__(self, store):
+    def __init__(self, store=None):
+        #: (hash_start, hash_end, array) pieces: fork-inherited chunks first,
+        #: shared-memory chunks appended as the parent publishes them
+        self._pieces: list[tuple[int, int, np.ndarray]] = []
+        self._handles: list = []  # keep SharedMemory objects alive
         self._bits = isinstance(store, BitSignatures)
+        if store is None:
+            return
         base = int(store.n_hashes)  # fork-time width
         if self._bits and base % _WORD_BITS:
             raise RuntimeError(
                 f"fork-time bit store width {base} is not word-aligned"
             )
-        #: (hash_start, hash_end, array) pieces: fork-inherited chunks first,
-        #: shared-memory chunks appended as the parent publishes them
-        self._pieces: list[tuple[int, int, np.ndarray]] = list(store.chunk_map())
-        self._handles: list = []  # keep SharedMemory objects alive
+        self._pieces = list(store.chunk_map())
 
     @property
     def bits(self) -> bool:
@@ -1257,6 +987,7 @@ class _ColumnSource:
             tuple(descriptor["shape"]), dtype=np.dtype(descriptor["dtype"]), buffer=shm.buf
         )
         self._handles.append(shm)
+        self._bits = descriptor["bits"]
         self._pieces.append((descriptor["hash_start"], descriptor["hash_end"], array))
 
     def close(self) -> None:
@@ -1319,7 +1050,8 @@ def _cross_window_counts(
     """Hash agreements between query rows and segment rows over ``[start, end)``.
 
     The worker-side twin of
-    :meth:`~repro.hashing.signatures.SignatureStore.count_matches_cross`:
+    :meth:`~repro.hashing.signatures.SignatureStore.count_matches_cross`
+    (and, with the same source on both sides, of ``count_matches_many``):
     agreement counts are additive over disjoint hash sub-ranges, so the
     window is split at the two sources' piece boundaries and each piece is
     counted with the same integer kernels the in-process stores use
@@ -1429,16 +1161,13 @@ def _serving_worker_main(worker_id: int, task: ServingTask, task_queue, result_q
                     "query_rows": query_rows,
                     "segment_ids": segment_ids,
                     "local_rows": local_rows,
-                    "status": np.full(len(query_rows), _ACTIVE, dtype=np.int8),
-                    "matches": np.zeros(len(query_rows), dtype=np.int64),
-                    "hashes_seen": np.zeros(len(query_rows), dtype=np.int64),
+                    "state": RoundState(len(query_rows), task.min_matches, task.concentration),
+                    "active": np.arange(len(query_rows)),
                 }
                 result_queue.put(("ok", worker_id, len(query_rows)))
             elif tag == "round":
                 n_prev, n_now = message[1], message[2]
-                status = shard["status"]
-                matches = shard["matches"]
-                active = np.flatnonzero(status == _ACTIVE)
+                active = shard["active"]
                 if len(active):
                     # Group the active pairs by owning segment (same stable
                     # grouping as SegmentedCollection._grouped) and count
@@ -1447,9 +1176,10 @@ def _serving_worker_main(worker_id: int, task: ServingTask, task_queue, result_q
                     segment_ids = shard["segment_ids"][active]
                     order = np.argsort(segment_ids, kind="stable")
                     boundaries = np.flatnonzero(np.diff(segment_ids[order])) + 1
+                    counts = np.zeros(len(active), dtype=np.int64)
                     for positions in np.split(order, boundaries):
                         pairs = active[positions]
-                        matches[pairs] += _cross_window_counts(
+                        counts[positions] = _cross_window_counts(
                             query_source,
                             source_for(int(segment_ids[positions[0]])),
                             shard["query_rows"][pairs],
@@ -1457,33 +1187,13 @@ def _serving_worker_main(worker_id: int, task: ServingTask, task_queue, result_q
                             n_prev,
                             n_now,
                         )
-                    shard["hashes_seen"][active] = n_now
-                    keep_mask = task.min_matches.passes_many(matches[active], n_now)
-                    status[active[~keep_mask]] = _PRUNED
-                    survivors = active[keep_mask]
-                    if len(survivors):
-                        concentrated = task.concentration.is_concentrated_many(
-                            matches[survivors], n_now
-                        )
-                        status[survivors[concentrated]] = _EMITTED
-                still_active = status == _ACTIVE
-                active_segments = np.unique(shard["segment_ids"][still_active])
-                result_queue.put(
-                    ("ok", worker_id, (int(still_active.sum()), active_segments.tolist()))
-                )
+                    active = shard["active"] = shard["state"].step(active, counts, n_now)
+                active_segments = np.unique(shard["segment_ids"][active])
+                result_queue.put(("ok", worker_id, (len(active), active_segments.tolist())))
             elif tag == "estimates":
-                status = shard["status"]
-                estimates = np.full(len(status), np.nan, dtype=np.float64)
-                emitted = np.flatnonzero(status != _PRUNED)
-                if len(emitted):
-                    hashes_seen = shard["hashes_seen"][emitted]
-                    estimates[emitted] = np.where(
-                        hashes_seen > 0,
-                        task.posterior.map_estimate_many(
-                            shard["matches"][emitted], hashes_seen
-                        ),
-                        0.0,
-                    )
+                state = shard["state"]
+                estimates = np.full(len(state.status), np.nan, dtype=np.float64)
+                estimates[state.kept()] = state.estimates(task.posterior)
                 result_queue.put(("ok", worker_id, estimates))
                 shard = None
             elif tag == "exact":
@@ -1496,55 +1206,6 @@ def _serving_worker_main(worker_id: int, task: ServingTask, task_queue, result_q
                 result_queue.put(("error", worker_id, f"unknown task {tag!r}"))
         except Exception:
             result_queue.put(("error", worker_id, traceback.format_exc()))
-
-
-def _serial_serving_verify(
-    task: ServingTask, query_family, query_rows: np.ndarray, rows: np.ndarray
-) -> np.ndarray:
-    """Verify (query, candidate) pairs serially with the serving kernels.
-
-    The recovery path behind :meth:`ServingPool.verify_bayes`: a shard whose
-    worker is lost re-executes here, in the parent, against the same
-    segments/decision tables the workers inherited.  This is a line-for-line
-    twin of ``QueryIndex._verify_bayes``'s serial loop, so a recovered shard
-    is bit-identical to the serial batch path: per-pair decisions depend only
-    on the pair's own ``(m, n)`` counts, and the parent's round-lazy store
-    extension draws the same RNG stream regardless of which component (pool
-    round loop or this fallback) requests a width first.
-    """
-    params = task.params
-    n_pairs = len(query_rows)
-    status = np.full(n_pairs, _ACTIVE, dtype=np.int8)
-    matches = np.zeros(n_pairs, dtype=np.int64)
-    hashes_seen = np.zeros(n_pairs, dtype=np.int64)
-    for round_index in range(params.n_rounds if n_pairs else 0):
-        active = np.flatnonzero(status == _ACTIVE)
-        if len(active) == 0:
-            break
-        n_prev = round_index * params.k
-        n_now = n_prev + params.k
-        query_store = query_family.signatures(n_now)
-        matches[active] += task.segments.count_matches_cross(
-            query_store, query_rows[active], rows[active], n_prev, n_now
-        )
-        hashes_seen[active] = n_now
-        keep_mask = task.min_matches.passes_many(matches[active], n_now)
-        status[active[~keep_mask]] = _PRUNED
-        survivors = active[keep_mask]
-        if len(survivors):
-            concentrated = task.concentration.is_concentrated_many(
-                matches[survivors], n_now
-            )
-            status[survivors[concentrated]] = _EMITTED
-    estimates = np.full(n_pairs, np.nan, dtype=np.float64)
-    emitted = np.flatnonzero(status != _PRUNED)
-    if len(emitted):
-        estimates[emitted] = np.where(
-            hashes_seen[emitted] > 0,
-            task.posterior.map_estimate_many(matches[emitted], hashes_seen[emitted]),
-            0.0,
-        )
-    return estimates
 
 
 class ServingPool:
@@ -1573,9 +1234,10 @@ class ServingPool:
 
     Fault tolerance: each stage's failed shards (worker death, hang past
     ``round_timeout``, in-task error) are re-executed serially in the parent
-    with the same kernels (:func:`_serial_serving_verify` and the stores'
-    own methods), so results stay bit-identical to the serial path after any
-    worker loss — including losing every worker.
+    with the same kernels (the serial serving loop behind
+    ``QueryIndex._verify_bayes`` and the stores' own methods), so results
+    stay bit-identical to the serial path after any worker loss — including
+    losing every worker.
     """
 
     #: publication-stream keys whose shared-memory segments are batch-scoped
@@ -1693,22 +1355,40 @@ class ServingPool:
 
         Recovery: a shard whose worker fails — at hand-off, during any round,
         or at the estimates gather — is re-verified from round zero in the
-        parent by :func:`_serial_serving_verify`, and its estimates slice
-        replaces the lost worker's.  Per-pair decisions depend only on the
-        pair's own counts and store extension is monotone in the requested
-        width, so the recovered slice matches the serial path bit for bit.
+        parent by the serial serving loop ``QueryIndex._verify_bayes`` runs,
+        against the same segments and decision tables the workers
+        inherited, and its estimates slice replaces the lost worker's.
+        Per-pair decisions depend only on the pair's own counts, and the
+        parent's round-lazy store extension draws the same RNG stream
+        whichever component requests a width first, so the recovered slice
+        matches the serial path bit for bit.
         """
+        from repro.search.query import _verify_bayes_serial
+
         params = self._task.params
         task = self._task
         n_pairs = len(rows)
         if n_pairs == 0:
             return np.zeros(0, dtype=np.float64)
+
+        def serial(slice_queries: np.ndarray, slice_rows: np.ndarray) -> np.ndarray:
+            return _verify_bayes_serial(
+                task.segments,
+                task.posterior,
+                task.min_matches,
+                task.concentration,
+                params,
+                query_family,
+                slice_queries,
+                slice_rows,
+            )
+
         segment_ids, local_rows = task.segments.locate(rows)
         estimates = np.full(n_pairs, np.nan, dtype=np.float64)
         _faults.fire("serving_verify", pool=self._pool)
         issued = self._pool.scatter("verify", (query_rows, segment_ids, local_rows))
         if not issued:
-            return _serial_serving_verify(task, query_family, query_rows, rows)
+            return serial(query_rows, rows)
         shards = {wid: (lo, hi) for wid, lo, hi in issued}
         live = [wid for wid, _, _ in issued]
 
@@ -1717,9 +1397,7 @@ class ServingPool:
             nonlocal live
             for wid in failure.failed:
                 lo, hi = shards[wid]
-                estimates[lo:hi] = _serial_serving_verify(
-                    task, query_family, query_rows[lo:hi], rows[lo:hi]
-                )
+                estimates[lo:hi] = serial(query_rows[lo:hi], rows[lo:hi])
             live = [wid for wid in live if wid not in failure.failed]
             return failure.replies
 

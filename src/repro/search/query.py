@@ -49,6 +49,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.candidates.lsh_index import BandPostings, signatures_for_false_negative_rate
+from repro.core.bayeslsh import RoundState
 from repro.core.concentration_cache import ConcentrationCache
 from repro.core.min_matches import MinMatchesTable
 from repro.core.params import BayesLSHParams
@@ -61,7 +62,48 @@ from repro.similarity.vectors import VectorCollection
 
 __all__ = ["QueryIndex"]
 
-_ACTIVE, _PRUNED, _EMITTED = 0, 1, 2
+
+def _verify_bayes_serial(
+    segments: SegmentedCollection,
+    posterior,
+    min_matches: MinMatchesTable,
+    concentration: ConcentrationCache,
+    params: BayesLSHParams,
+    query_family,
+    query_rows: np.ndarray,
+    rows: np.ndarray,
+) -> np.ndarray:
+    """Round-synchronous serial BayesLSH verification of (query, row) pairs.
+
+    The one serial serving loop: ``QueryIndex._verify_bayes`` runs it for
+    a whole batch, and the serving pools re-run a lost worker's shard
+    through it.  Hash agreements are counted between the query store
+    (``query_family``'s) and the per-segment collection stores (global rows
+    routed to their owning segments), and each round's decisions are
+    :meth:`RoundState.step <repro.core.bayeslsh.RoundState.step>`.
+
+    Returns the pair estimates with NaN marking pruned pairs.
+    """
+    state = RoundState(len(rows), min_matches, concentration)
+    active = np.arange(len(rows))
+    for round_index in range(params.n_rounds):
+        if len(active) == 0:
+            break
+        n_prev = round_index * params.k
+        n_now = n_prev + params.k
+        # Lazy, round-synchronous hashing — exactly the core verifier's
+        # pattern: rounds most pairs never reach are never hashed, and
+        # only segments that still own active pairs extend their stores
+        # (the families round requests up to their block size, so the
+        # whole batch still extends in a handful of kernel calls).
+        query_store = query_family.signatures(n_now)
+        counts = segments.count_matches_cross(
+            query_store, query_rows[active], rows[active], n_prev, n_now
+        )
+        active = state.step(active, counts, n_now)
+    estimates = np.full(len(rows), np.nan, dtype=np.float64)
+    estimates[state.kept()] = state.estimates(posterior)
+    return estimates
 
 
 class QueryIndex:
@@ -585,45 +627,16 @@ class QueryIndex:
         """
         if pool is not None:
             return pool.verify_bayes(query_family, query_rows, rows)
-        params = self._params
-        n_pairs = len(query_rows)
-        status = np.full(n_pairs, _ACTIVE, dtype=np.int8)
-        matches = np.zeros(n_pairs, dtype=np.int64)
-        hashes_seen = np.zeros(n_pairs, dtype=np.int64)
-        for round_index in range(params.n_rounds if n_pairs else 0):
-            active = np.flatnonzero(status == _ACTIVE)
-            if len(active) == 0:
-                break
-            n_prev = round_index * params.k
-            n_now = n_prev + params.k
-            # Lazy, round-synchronous hashing — exactly the core verifier's
-            # pattern: rounds most pairs never reach are never hashed, and
-            # only segments that still own active pairs extend their stores
-            # (the families round requests up to their block size, so the
-            # whole batch still extends in a handful of kernel calls).
-            query_store = query_family.signatures(n_now)
-            matches[active] += self._segments.count_matches_cross(
-                query_store, query_rows[active], rows[active], n_prev, n_now
-            )
-            hashes_seen[active] = n_now
-            keep_mask = self._min_matches.passes_many(matches[active], n_now)
-            status[active[~keep_mask]] = _PRUNED
-            survivors = active[keep_mask]
-            if len(survivors):
-                concentrated = self._concentration.is_concentrated_many(
-                    matches[survivors], n_now
-                )
-                status[survivors[concentrated]] = _EMITTED
-
-        estimates = np.full(n_pairs, np.nan, dtype=np.float64)
-        emitted = np.flatnonzero(status != _PRUNED)
-        if len(emitted):
-            estimates[emitted] = np.where(
-                hashes_seen[emitted] > 0,
-                self._posterior.map_estimate_many(matches[emitted], hashes_seen[emitted]),
-                0.0,
-            )
-        return estimates
+        return _verify_bayes_serial(
+            self._segments,
+            self._posterior,
+            self._min_matches,
+            self._concentration,
+            self._params,
+            query_family,
+            query_rows,
+            rows,
+        )
 
     def _cross_exact(
         self,

@@ -154,6 +154,10 @@ class BayesLSHVerifier(_BayesVerifierBase):
         """The core algorithm instance used by the most recent verify() call."""
         return self._last_algorithm
 
+    def _algorithm(self, posterior: PosteriorModel) -> BayesLSH:
+        """The core algorithm for ``posterior`` (pool workers build theirs here too)."""
+        return BayesLSH(self._family, posterior, self._params)
+
     def verify(self, candidates: CandidateSet) -> VerificationOutput:
         """Run Algorithm 1 over the candidate pairs; emits posterior estimates.
 
@@ -167,8 +171,7 @@ class BayesLSHVerifier(_BayesVerifierBase):
         tiling and super-blocking are value-preserving, so this is purely a
         throughput matter.
         """
-        posterior = self._posterior_for(candidates)
-        algorithm = BayesLSH(self._family, posterior, self._params)
+        algorithm = self._algorithm(self._posterior_for(candidates))
         self._last_algorithm = algorithm
         return algorithm.verify(candidates.left, candidates.right)
 
@@ -181,25 +184,9 @@ class BayesLSHVerifier(_BayesVerifierBase):
         only on the pair's own ``(m, n)``, so the merged output is
         bit-identical to one monolithic verify() call.
         """
-        posterior = self._posterior_for_pairs(source)
-        algorithm = BayesLSH(self._family, posterior, self._params)
+        algorithm = self._algorithm(self._posterior_for_pairs(source))
         self._last_algorithm = algorithm
-        if pool is None:
-            return VerificationOutput.merge(
-                [algorithm.verify(left, right) for left, right in source.blocks()]
-            )
-        from repro.search.executor import run_round_protocol
-
-        return run_round_protocol(
-            pool,
-            self._family,
-            self._params,
-            "bayes",
-            posterior,
-            source,
-            self._threshold,
-            verifier=self,
-        )
+        return _verify_blocks(algorithm, source, pool)
 
 
 class BayesLSHLiteVerifier(_BayesVerifierBase):
@@ -247,41 +234,36 @@ class BayesLSHLiteVerifier(_BayesVerifierBase):
     def _exact_many(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
         return exact_similarities_for_pairs(self._prepared, self._measure, left, right)
 
+    def _algorithm(self, posterior: PosteriorModel) -> BayesLSHLite:
+        """The core algorithm for ``posterior`` (pool workers build theirs here too).
+
+        Deliberately NOT wired to exact_similarities_for_pairs: its chunked
+        sparse products round differently from measure.exact in the last
+        ulp, which could flip the `> threshold` emission for boundary pairs
+        and break the bit-identity contract with the scalar path.
+        """
+        return BayesLSHLite(self._family, posterior, self._params, self.exact_similarity)
+
     def verify(self, candidates: CandidateSet) -> VerificationOutput:
         """BayesLSH-Lite: Bayesian pruning, exact similarities for survivors.
 
         Deterministic in ``(candidates, family seed, params)`` — per-pair
         decisions are independent of batching, as for the full verifier.
         """
-        posterior = self._posterior_for(candidates)
-        # Deliberately NOT wired to exact_similarities_for_pairs: its chunked
-        # sparse products round differently from measure.exact in the last
-        # ulp, which could flip the `> threshold` emission for boundary pairs
-        # and break the bit-identity contract with the scalar path.
-        algorithm = BayesLSHLite(
-            self._family, posterior, self._params, self.exact_similarity
-        )
+        algorithm = self._algorithm(self._posterior_for(candidates))
         return algorithm.verify(candidates.left, candidates.right)
 
     def verify_source(self, source, pool=None) -> VerificationOutput:
         """Block-streamed (and optionally multicore round-synchronous) verify."""
-        posterior = self._posterior_for_pairs(source)
-        if pool is None:
-            algorithm = BayesLSHLite(
-                self._family, posterior, self._params, self.exact_similarity
-            )
-            return VerificationOutput.merge(
-                [algorithm.verify(left, right) for left, right in source.blocks()]
-            )
-        from repro.search.executor import run_round_protocol
+        return _verify_blocks(self._algorithm(self._posterior_for_pairs(source)), source, pool)
 
-        return run_round_protocol(
-            pool,
-            self._family,
-            self._params,
-            "lite",
-            posterior,
-            source,
-            self._threshold,
-            verifier=self,
+
+def _verify_blocks(algorithm, source, pool) -> VerificationOutput:
+    """Verify every block of ``source`` with ``algorithm``, on ``pool`` if given."""
+    if pool is None:
+        return VerificationOutput.merge(
+            [algorithm.verify(left, right) for left, right in source.blocks()]
         )
+    from repro.search.executor import run_round_protocol
+
+    return run_round_protocol(pool, algorithm, source)

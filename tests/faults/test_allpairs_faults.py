@@ -1,10 +1,11 @@
 """Worker-loss recovery in the all-pairs round protocol.
 
 ``run_round_protocol`` recovers at *block* granularity: when a block loses
-a worker (death, hang, in-task error) the whole block re-executes serially
-in the parent, discarding the survivors' partial work, so the output —
-pairs, estimates, the per-round prune trace and the ``hash_comparisons``
-counter — stays bit-identical to the all-serial run.  The fixed-budget
+a worker (death, hang, in-task error) the whole block re-runs in the parent
+through the core algorithm's own ``verify``, discarding the survivors'
+partial work, so the output — pairs, estimates, the per-round prune trace
+and the ``hash_comparisons`` counter — stays bit-identical to the
+all-serial run.  The fixed-budget
 (``map_count``) and exact (``map_exact``) verifiers recover at shard
 granularity instead.
 """
@@ -28,6 +29,16 @@ def corpus() -> np.ndarray:
     return planted_collection(47, n=70)
 
 
+#: (pipeline, measure) pairs of the kill matrix: both verifiers under the
+#: cosine collision posterior and under Jaccard's fitted Beta prior
+_BAYES_PIPELINES = [
+    ("ap_bayeslsh", "cosine"),
+    ("ap_bayeslsh_lite", "cosine"),
+    ("lsh_bayeslsh", "jaccard"),
+    ("lsh_bayeslsh_lite", "jaccard"),
+]
+
+
 def _run(corpus, method: str, n_workers: int | None = None, **kwargs):
     return all_pairs_similarity(
         corpus,
@@ -45,6 +56,15 @@ def serial_bayes(corpus):
     return _run(corpus, "ap_bayeslsh")
 
 
+@pytest.fixture(scope="module")
+def serial_runs(corpus) -> dict:
+    """All-serial reference results per ``(method, measure)``."""
+    return {
+        (method, measure): _run(corpus, method, measure=measure)
+        for method, measure in _BAYES_PIPELINES
+    }
+
+
 def _assert_identical(result, reference) -> None:
     assert np.array_equal(result.left, reference.left)
     assert np.array_equal(result.right, reference.right)
@@ -60,14 +80,15 @@ def _assert_identical(result, reference) -> None:
     [("allpairs_begin", None), ("allpairs_round", 0), ("allpairs_round", 1)],
 )
 @pytest.mark.parametrize("n_workers", [2, 4])
+@pytest.mark.parametrize("method,measure", _BAYES_PIPELINES)
 def test_kill_one_worker_allpairs_bit_identical(
-    corpus, serial_bayes, event, round_index, n_workers
+    corpus, serial_runs, method, measure, event, round_index, n_workers
 ):
     with faults.inject() as plan:
         plan.kill_worker(n_workers - 1, event=event, round_index=round_index)
-        result = _run(corpus, "ap_bayeslsh", n_workers=n_workers)
+        result = _run(corpus, method, n_workers=n_workers, measure=measure)
     assert ("kill", n_workers - 1) in plan.fired
-    _assert_identical(result, serial_bayes)
+    _assert_identical(result, serial_runs[method, measure])
 
 
 def test_kill_every_worker_allpairs_bit_identical(corpus, serial_bayes):

@@ -16,7 +16,10 @@ from repro.candidates.allpairs import AllPairsGenerator
 from repro.candidates.arrayops import pairs_within_groups, ragged_arange
 from repro.candidates.lsh_index import LSHGenerator
 from repro.candidates.ppjoin import PPJoinGenerator
+from repro.core.bayeslsh import BayesLSH
 from repro.core.concentration_cache import ConcentrationCache
+from repro.core.lite import BayesLSHLite
+from repro.core.params import BayesLSHLiteParams, BayesLSHParams
 from repro.core.posteriors import (
     BetaPosterior,
     GridCollisionPosterior,
@@ -25,6 +28,7 @@ from repro.core.posteriors import (
 from repro.core.priors import BetaPrior
 from repro.hashing.minhash import MinHashFamily
 from repro.hashing.simhash import SimHashFamily
+from repro.similarity.measures import get_measure
 from repro.similarity.vectors import VectorCollection
 
 _SETTINGS = settings(max_examples=15, deadline=None)
@@ -132,6 +136,118 @@ class TestPosteriorBatchEquivalence:
         batched = posterior.map_estimate_many(matches, np.full(3, 32))
         expected = reference.map_estimates_reference(posterior, matches, np.full(3, 32))
         np.testing.assert_array_equal(batched, expected)
+
+
+def _planted_pairs(rng, collection: VectorCollection, n_pairs: int = 60):
+    """Random candidate pairs over a collection whose second half repeats the first.
+
+    Rows ``i`` and ``i + n/2`` start out as copies (the caller perturbs
+    them), so the pair set mixes near-duplicates — which survive many rounds
+    and exercise emission and the hash budget — with random pairs, most of
+    which are pruned early.
+    """
+    half = collection.n_vectors // 2
+    twins = rng.integers(0, half, size=n_pairs // 3)
+    left = rng.integers(0, collection.n_vectors, size=n_pairs - len(twins))
+    right = rng.integers(0, collection.n_vectors, size=n_pairs - len(twins))
+    return np.concatenate([twins, left]), np.concatenate([twins + half, right])
+
+
+def _verification_setup(measure_name: str, seed: int):
+    """A prepared collection, its hash family and the measure's posteriors."""
+    rng = np.random.default_rng(seed)
+    if measure_name == "jaccard":
+        base = _random_sets_collection(seed, n_rows=20)
+        sets = [set(base.row_features(row).tolist()) for row in range(base.n_vectors)]
+        for row in range(base.n_vectors):
+            twin = set(sets[row])
+            if twin and rng.random() < 0.5:
+                twin.discard(int(rng.choice(sorted(twin))))
+            sets.append(twin)
+        collection = VectorCollection.from_sets(sets, n_features=60)
+        posteriors = [BetaPosterior(), BetaPosterior(BetaPrior(2.5, 7.0))]
+    else:
+        dense = rng.random((20, 30)) * (rng.random((20, 30)) < 0.35)
+        noise = rng.random((20, 30)) * 0.1 * (dense > 0)
+        collection = VectorCollection.from_dense(np.vstack([dense, dense + noise]))
+        posteriors = [TruncatedCollisionPosterior()]
+    measure = get_measure(measure_name)
+    prepared = measure.prepare(collection)
+    family_type = MinHashFamily if measure_name == "jaccard" else SimHashFamily
+    return rng, measure, prepared, family_type, posteriors
+
+
+def _dense_hashes(family, n_hashes: int) -> np.ndarray:
+    """Per-hash values from the row-at-a-time signature references."""
+    family.signatures(n_hashes)
+    if isinstance(family, MinHashFamily):
+        return reference.minhash_signatures_reference(family, n_hashes)
+    return reference.simhash_bits_reference(family, n_hashes)
+
+
+def _assert_same_output(output, expected) -> None:
+    np.testing.assert_array_equal(output.left, expected.left)
+    np.testing.assert_array_equal(output.right, expected.right)
+    assert output.estimates.tobytes() == expected.estimates.tobytes()
+    assert output.n_candidates == expected.n_candidates
+    assert output.n_pruned == expected.n_pruned
+    assert output.trace == expected.trace
+    assert output.hash_comparisons == expected.hash_comparisons
+    assert output.exact_computations == expected.exact_computations
+
+
+class TestVerificationLoopEquivalence:
+    """The round-synchronous verify loops against pair-at-a-time Algorithms 1 and 2."""
+
+    @_SETTINGS
+    @given(
+        st.integers(min_value=0, max_value=10_000),
+        st.sampled_from(["jaccard", "cosine"]),
+        st.sampled_from([0.4, 0.6, 0.8]),
+        st.sampled_from([(8, 64), (16, 256), (32, 512)]),
+    )
+    def test_bayeslsh_verify_matches_per_pair_reference(
+        self, seed, measure_name, threshold, budget
+    ):
+        rng, _, prepared, family_type, posteriors = _verification_setup(measure_name, seed)
+        k, max_hashes = budget
+        params = BayesLSHParams(threshold=threshold, k=k, max_hashes=max_hashes)
+        left, right = _planted_pairs(rng, prepared)
+        for posterior in posteriors:
+            family = family_type(prepared, seed=seed % 97)
+            output = BayesLSH(family, posterior, params).verify(left, right)
+            expected = reference.bayeslsh_verify_reference(
+                _dense_hashes(family, max_hashes), posterior, params, left, right
+            )
+            _assert_same_output(output, expected)
+
+    @_SETTINGS
+    @given(
+        st.integers(min_value=0, max_value=10_000),
+        st.sampled_from(["jaccard", "cosine"]),
+        st.sampled_from([0.4, 0.6, 0.8]),
+        st.sampled_from([(8, 32), (16, 64), (32, 128)]),
+    )
+    def test_lite_verify_matches_per_pair_reference(
+        self, seed, measure_name, threshold, budget
+    ):
+        rng, measure, prepared, family_type, posteriors = _verification_setup(
+            measure_name, seed
+        )
+        k, h = budget
+        params = BayesLSHLiteParams(threshold=threshold, k=k, h=h)
+        left, right = _planted_pairs(rng, prepared)
+
+        def exact(i: int, j: int) -> float:
+            return measure.exact(prepared, i, j)
+
+        for posterior in posteriors:
+            family = family_type(prepared, seed=seed % 97)
+            output = BayesLSHLite(family, posterior, params, exact).verify(left, right)
+            expected = reference.lite_verify_reference(
+                _dense_hashes(family, h), posterior, params, exact, left, right
+            )
+            _assert_same_output(output, expected)
 
 
 class TestCandidateGeneratorEquivalence:
